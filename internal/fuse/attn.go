@@ -5,6 +5,7 @@ import (
 
 	"agnn/internal/par"
 	"agnn/internal/sparse"
+	"agnn/internal/tensor"
 )
 
 // The fused SDDMM + edge-softmax + SpMM attention op. The unfused op
@@ -18,25 +19,20 @@ import (
 
 // attnScratch holds one per-worker score row (sized to the pattern's
 // maximum row degree) for the inference variant, which materializes no
-// per-edge score tensor at all. Rows are allocated lazily on first use so
-// steady-state execution stays allocation-free.
-type attnScratch struct {
-	rows   [][]float64
+// per-edge score tensor at all. ensure sizes the table on the calling
+// goroutine before the sweep fans out, so workers only read it; rows are
+// allocated when the worker count grows, keeping steady-state execution
+// allocation-free.
+type attnScratch[E tensor.Float] struct {
+	rows   [][]E
 	maxRow int
 }
 
-func (s *attnScratch) row(worker int) []float64 {
-	if need := par.Workers() + 1; len(s.rows) < need {
-		grown := make([][]float64, need)
-		copy(grown, s.rows)
-		s.rows = grown
+func (s *attnScratch[E]) ensure() {
+	// One extra row: the weighted scheduler may emit Workers()+1 chunks.
+	for len(s.rows) < par.Workers()+1 {
+		s.rows = append(s.rows, make([]E, s.maxRow))
 	}
-	r := s.rows[worker]
-	if r == nil {
-		r = make([]float64, s.maxRow)
-		s.rows[worker] = r
-	}
-	return r
 }
 
 // opAttnFused builds the fused attention sweep. With vals non-nil
@@ -47,12 +43,13 @@ func (s *attnScratch) row(worker int) []float64 {
 // the nnz-sized buffer is never allocated. softmax selects the
 // score→softmax→aggregate shape (GAT/AGNN); without it the masked scores
 // aggregate directly (VA).
-func opAttnFused(pat *sparse.CSR, cuts *par.Cuts, vals []float64, f ScoreFunc, weights []float64, rowOff int32, softmax bool, x, out *spec) opFns {
+func opAttnFused[E tensor.Float](pat *sparse.CSR, cuts *par.Cuts, vals []E, f func(i, j int32) E, weights []E, rowOff int32, softmax bool, x, out *buf[E]) opFns {
+	exp := expFn[E]()
+	k := out.cols
 	if vals != nil {
 		each := func(i int) {
-			xd, od := x.dense, out.dense
-			k := od.Cols
-			orow := od.Data[i*k : (i+1)*k]
+			xd := x.dense
+			orow := out.dense[i*k : (i+1)*k]
 			clear(orow)
 			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
 			if b == e {
@@ -60,7 +57,7 @@ func opAttnFused(pat *sparse.CSR, cuts *par.Cuts, vals []float64, f ScoreFunc, w
 			}
 			gi := int32(i) + rowOff
 			if softmax {
-				m := math.Inf(-1)
+				m := E(math.Inf(-1))
 				for p := b; p < e; p++ {
 					v := f(gi, pat.Col[p])
 					if weights != nil {
@@ -71,9 +68,9 @@ func opAttnFused(pat *sparse.CSR, cuts *par.Cuts, vals []float64, f ScoreFunc, w
 						m = v
 					}
 				}
-				sum := 0.0
+				var sum E
 				for p := b; p < e; p++ {
-					v := math.Exp(vals[p] - m)
+					v := exp(vals[p] - m)
 					vals[p] = v
 					sum += v
 				}
@@ -92,7 +89,7 @@ func opAttnFused(pat *sparse.CSR, cuts *par.Cuts, vals []float64, f ScoreFunc, w
 			}
 			for p := b; p < e; p++ {
 				v := vals[p]
-				xrow := xd.Data[int(pat.Col[p])*k : int(pat.Col[p])*k+k]
+				xrow := xd[int(pat.Col[p])*k : int(pat.Col[p])*k+k]
 				for t, xv := range xrow {
 					orow[t] += v * xv
 				}
@@ -106,22 +103,21 @@ func opAttnFused(pat *sparse.CSR, cuts *par.Cuts, vals []float64, f ScoreFunc, w
 	// worker id for its scratch row, so it exposes no single-row body —
 	// inference fused plans are row-indivisible (partitioning callers
 	// compile with NoAttnFuse).
-	scratch := &attnScratch{maxRow: pat.MaxRowNNZ()}
+	scratch := &attnScratch[E]{maxRow: pat.MaxRowNNZ()}
 	body := func(worker, lo, hi int) {
-		buf := scratch.row(worker)
+		srow := scratch.rows[worker]
 		xd, od := x.dense, out.dense
-		k := od.Cols
 		for i := lo; i < hi; i++ {
-			orow := od.Data[i*k : (i+1)*k]
+			orow := od[i*k : (i+1)*k]
 			clear(orow)
 			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
 			if b == e {
 				continue
 			}
 			gi := int32(i) + rowOff
-			row := buf[:e-b]
+			row := srow[:e-b]
 			if softmax {
-				m := math.Inf(-1)
+				m := E(math.Inf(-1))
 				for p := b; p < e; p++ {
 					v := f(gi, pat.Col[p])
 					if weights != nil {
@@ -132,9 +128,9 @@ func opAttnFused(pat *sparse.CSR, cuts *par.Cuts, vals []float64, f ScoreFunc, w
 						m = v
 					}
 				}
-				sum := 0.0
+				var sum E
 				for q, v := range row {
-					v = math.Exp(v - m)
+					v = exp(v - m)
 					row[q] = v
 					sum += v
 				}
@@ -153,12 +149,15 @@ func opAttnFused(pat *sparse.CSR, cuts *par.Cuts, vals []float64, f ScoreFunc, w
 			}
 			for p := b; p < e; p++ {
 				v := row[p-b]
-				xrow := xd.Data[int(pat.Col[p])*k : int(pat.Col[p])*k+k]
+				xrow := xd[int(pat.Col[p])*k : int(pat.Col[p])*k+k]
 				for t, xv := range xrow {
 					orow[t] += v * xv
 				}
 			}
 		}
 	}
-	return opFns{run: func() { par.RangeCuts(cuts, body) }}
+	return opFns{run: func() {
+		scratch.ensure()
+		par.RangeCuts(cuts, body)
+	}}
 }

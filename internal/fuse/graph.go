@@ -9,19 +9,16 @@ import (
 
 // This file adds the executable half of the package: a Graph builder that
 // co-constructs the analysis DAG of fuse.go together with the execution
-// metadata (shapes, parameters, activation functions, score closures)
+// metadata (shapes, parameters, activation functions, slopes)
 // needed to compile it into a runnable Plan. The builder's op vocabulary
 // mirrors the prebuilt model DAGs of models.go, so the fusion analysis and
 // the runtime always see the same graph.
 
-// ScoreFunc evaluates one entry (i, j) of a virtual score matrix; it is the
-// same contract as kernels.ScoreFunc (i and j are global vertex indices).
-type ScoreFunc = func(i, j int32) float64
-
 // ParamRef points at a trainable tensor and its gradient accumulator
 // without importing the gnn package (which imports fuse). The plan reads
 // Value on every step (so optimizer updates are observed) and accumulates
-// into Grad during Backward.
+// into Grad during Backward. f64 plans bind Value.Data and Grad.Data at
+// compile time, so both must be updated in place, never reassigned.
 type ParamRef struct {
 	Name        string
 	Value, Grad *tensor.Dense
@@ -35,10 +32,9 @@ type Act struct {
 	DF   func(float64) float64
 }
 
-// spec carries the execution-level state of one DAG node: its shape, its
-// buffers (allocated once at compile time from the plan's arena), the
-// composed score closure for virtual nodes, and the cotangent buffers used
-// by the derived backward pass.
+// spec carries the compile-time metadata of one DAG node: its shape and
+// the attributes its op lowers with. Execution buffers are not stored here
+// but per compiled plan (buf), so compiling a graph twice shares nothing.
 type spec struct {
 	node       *Node
 	rows, cols int // dense shape; rows doubles as vector length
@@ -49,17 +45,6 @@ type spec struct {
 	slope    float64 // lrelu nodes
 	weighted bool    // mask nodes: multiply A's stored values in
 	agg      string  // spmm nodes: "" (real), "max", "min", "mean"
-
-	dense *tensor.Dense // dense value (params alias Value; input bound per call)
-	vec   []float64     // vector value
-	vals  []float64     // sparse value buffer on the pattern
-	view  *sparse.CSR   // pattern view over vals
-	score ScoreFunc     // virtual evaluator, composed at compile time
-
-	gdense *tensor.Dense // cotangent buffers (training plans only)
-	gvec   []float64
-	gvals  []float64
-	gview  *sparse.CSR
 }
 
 // Graph is a buildable, compilable execution DAG over one sparsity pattern.
@@ -81,7 +66,7 @@ type Graph struct {
 func NewGraph(name string, pat *sparse.CSR) *Graph {
 	g := &Graph{Name: name, dag: NewDAG(name), pat: pat, specs: make(map[*Node]*spec)}
 	g.adj = g.dag.Input("A", Sparse)
-	g.specs[g.adj] = &spec{node: g.adj, rows: pat.Rows, cols: pat.Cols, view: pat}
+	g.specs[g.adj] = &spec{node: g.adj, rows: pat.Rows, cols: pat.Cols}
 	return g
 }
 
@@ -139,7 +124,7 @@ func (g *Graph) InputDenseAux(id string, rows, cols int) *Node {
 func (g *Graph) ParamNode(id string, p ParamRef) *Node {
 	n := g.dag.Input(id, Param)
 	g.specs[n] = &spec{node: n, rows: p.Value.Rows, cols: p.Value.Cols,
-		param: p, hasParam: true, dense: p.Value}
+		param: p, hasParam: true}
 	return n
 }
 

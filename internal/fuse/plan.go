@@ -28,10 +28,10 @@ type Options struct {
 	Workspace *tensor.Arena
 	// DType selects the element width of the compiled kernels. F64 (the
 	// zero value) is the default double-precision path, bitwise-identical
-	// to the pre-dtype runtime. F32 compiles the plan against float32
-	// buffers and kernels: inputs, parameters and cotangents are cast at
-	// the plan boundary, parameter gradients are flushed back into the
-	// float64 Grad accumulators after each backward pass.
+	// to the pre-dtype runtime. F32 compiles the same op list over float32
+	// buffers: inputs, parameters and cotangents are cast at the plan
+	// boundary, parameter gradients are flushed back into the float64 Grad
+	// accumulators after each backward pass.
 	DType tensor.DType
 	// NoAttnFuse disables the fused SDDMM+softmax+SpMM attention rule.
 	// The fused op executes score sampling, normalization and aggregation
@@ -78,14 +78,7 @@ type Plan struct {
 	input, output *spec
 	aux           map[string]*spec // additional dense inputs, bound via BindDense
 	fwd, bwd      []planOp
-
-	zeroDense []*tensor.Dense // cotangent buffers zeroed before each backward
-	zeroVecs  [][]float64
-
-	denseBufs []*tensor.Dense // everything acquired from the workspace,
-	floatBufs [][]float64     // for Release
-
-	f32 *planF32 // float32 execution state (DType == F32 plans only)
+	x             executor // the buffers at the plan's element width
 
 	ws    *tensor.Arena
 	stats PlanStats
@@ -100,7 +93,8 @@ type Plan struct {
 // FusedSoftmaxScores kernel), allocates every intermediate once from the
 // workspace arena, composes the virtual score closures, and emits the
 // forward op list plus — for training plans — the reverse-traversal
-// backward op list.
+// backward op list. Options.DType selects the element type compile is
+// instantiated with.
 func (g *Graph) Compile(opt Options) (*Plan, error) {
 	if g.output == nil {
 		return nil, fmt.Errorf("fuse: graph %q has no output", g.Name)
@@ -109,30 +103,38 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 		return nil, fmt.Errorf("fuse: graph %q has no dense input", g.Name)
 	}
 	if opt.DType == tensor.F32 {
-		return g.compile32(opt)
+		return compile[float32](g, opt)
 	}
+	return compile[float64](g, opt)
+}
+
+// compile is the body of Compile at element width E.
+func compile[E tensor.Float](g *Graph, opt Options) (*Plan, error) {
+	dtype := tensor.DTypeOf[E]()
 	if opt.Train && g.rowOff != 0 {
 		return nil, fmt.Errorf("fuse: graph %q: row-offset plans are inference-only", g.Name)
 	}
-	if opt.Train && len(g.aux) > 0 {
+	if len(g.aux) > 0 && narrow[E]() {
+		return nil, fmt.Errorf("fuse: graph %q: auxiliary dense inputs require f64 plans", g.Name)
+	}
+	if len(g.aux) > 0 && opt.Train {
 		return nil, fmt.Errorf("fuse: graph %q: auxiliary dense inputs are inference-only", g.Name)
 	}
+	nodes := g.dag.Nodes()
 	cons := g.dag.consumers()
-	if opt.Train {
-		for _, n := range g.dag.Nodes() {
-			if n == g.adj || (n.Kind != Sparse && n.Kind != Virtual) {
-				continue
+	for _, n := range nodes {
+		switch n.Op {
+		case "spmm-max", "spmm-min", "spmm-mean":
+			if narrow[E]() {
+				return nil, fmt.Errorf("fuse: graph %q: semiring aggregation %q requires f64 plans", g.Name, n.ID)
 			}
-			if len(cons[n]) > 1 {
-				return nil, fmt.Errorf("fuse: graph %q: %s node %q has %d consumers; training plans require single-consumer sparse/virtual nodes",
-					g.Name, n.Kind, n.ID, len(cons[n]))
-			}
-		}
-		for _, n := range g.dag.Nodes() {
-			switch n.Op {
-			case "spmm-max", "spmm-min", "spmm-mean":
+			if opt.Train {
 				return nil, fmt.Errorf("fuse: graph %q: semiring aggregation %q is inference-only", g.Name, n.ID)
 			}
+		}
+		if opt.Train && n != g.adj && (n.Kind == Sparse || n.Kind == Virtual) && len(cons[n]) > 1 {
+			return nil, fmt.Errorf("fuse: graph %q: %s node %q has %d consumers; training plans require single-consumer sparse/virtual nodes",
+				g.Name, n.Kind, n.ID, len(cons[n]))
 		}
 	}
 
@@ -142,7 +144,7 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 	// mask compiles to one fused sampling sweep; the mask's value buffer is
 	// never materialized (its cotangent still is, for training).
 	fusedMask := make(map[*Node]bool)
-	for _, n := range g.dag.Nodes() {
+	for _, n := range nodes {
 		if n.Op == "softmax" {
 			if in := n.Inputs[0]; in.Op == "mask" && len(cons[in]) == 1 {
 				fusedMask[in] = true
@@ -167,29 +169,31 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 	if ws == nil {
 		ws = tensor.NewArena()
 	}
+	x := &exec[E]{}
 	p := &Plan{Name: g.Name, train: opt.Train, rowOff: g.rowOff, pat: g.pat,
-		input: g.sp(g.input), output: g.sp(g.output), ws: ws}
-	auxSet := make(map[*Node]bool, len(g.aux))
-	if len(g.aux) > 0 {
-		p.aux = make(map[string]*spec, len(g.aux))
-		for _, n := range g.aux {
-			auxSet[n] = true
-			p.aux[n.ID] = g.sp(n)
-		}
-	}
+		input: g.sp(g.input), output: g.sp(g.output), x: x, ws: ws}
 
 	var words int64
-	dense := func(r, c int) *tensor.Dense {
-		m := ws.AcquireDense(r, c)
-		p.denseBufs = append(p.denseBufs, m)
-		words += int64(r) * int64(c)
-		return m
-	}
-	floats := func(n int) []float64 {
-		s := ws.AcquireFloats(n)
-		p.floatBufs = append(p.floatBufs, s)
+	acquire := func(n int) []E {
+		s := tensor.Acquire[E](ws, n)
+		x.held = append(x.held, s)
 		words += int64(n)
 		return s
+	}
+	cotangent := func(n int) []E {
+		s := acquire(n)
+		x.zero = append(x.zero, s)
+		return s
+	}
+	// adopt makes caller-owned f64 storage readable at width E: by
+	// reference in f64 plans, as a rounded workspace copy in f32 plans.
+	adopt := func(src []float64) []E {
+		if v, ok := any(src).([]E); ok {
+			return v
+		}
+		v := acquire(len(src))
+		round(v, src)
+		return v
 	}
 
 	pat := g.pat
@@ -198,66 +202,146 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 	// once per pattern here so steady-state ops pay zero scan cost.
 	cuts := par.NewCuts(pat.Rows, nnzWeight(pat))
 
+	// Every node's buffers, created up front so score closures and op
+	// bodies can capture them; the allocation loop below fills them.
+	bufs := make(map[*Node]*buf[E], len(nodes))
+	store := make([]buf[E], len(nodes))
+	for i, n := range nodes {
+		s := g.sp(n)
+		store[i] = buf[E]{rows: s.rows, cols: s.cols}
+		bufs[n] = &store[i]
+	}
+
+	// The adjacency values (weighted masks, adjacency SpMM), adopted once
+	// on first use and shared by every op that needs them.
+	var adjVals []E
+	sparseVals := func(n *Node) []E {
+		if n != g.adj {
+			return bufs[n].vals
+		}
+		if adjVals == nil {
+			adjVals = adopt(pat.Val)
+		}
+		return adjVals
+	}
+	weights := func(mask *Node) []E {
+		if g.sp(mask).weighted {
+			return sparseVals(g.adj)
+		}
+		return nil
+	}
+
+	isAux := make(map[*Node]bool, len(g.aux))
+	if len(g.aux) > 0 {
+		p.aux = make(map[string]*spec, len(g.aux))
+		x.auxRefs = make(map[string]*[]float64, len(g.aux))
+		for _, n := range g.aux {
+			isAux[n] = true
+			p.aux[n.ID] = g.sp(n)
+			x.auxRefs[n.ID] = any(&bufs[n].dense).(*[]float64) // aux inputs are f64-only
+		}
+	}
+
 	// Allocate buffers and compose virtual score closures, in topological
 	// (insertion) order so every node's inputs are ready.
-	for _, n := range g.dag.Nodes() {
-		s := g.sp(n)
+	for _, n := range nodes {
+		s, b := g.sp(n), bufs[n]
+		size := s.rows * s.cols
 		switch {
-		case n == g.adj:
-			// pattern view already set
+		case n == g.adj, isAux[n]:
+			// pattern values adopted on use; aux dense bound per execution
 		case n == g.input:
-			if opt.Train {
-				s.gdense = dense(s.rows, s.cols)
-				p.zeroDense = append(p.zeroDense, s.gdense)
+			if narrow[E]() {
+				b.dense = acquire(size) // the rounding target of Forward's input
 			}
-		case auxSet[n]:
-			// dense bound per execution via BindDense; no buffer
-		case s.hasParam:
-			// dense aliases the parameter value; gradients go to param.Grad
-		case n.Kind == Virtual:
-			s.score = composeScore(g, n)
 			if opt.Train {
-				s.gvals = floats(nnz)
+				b.gdense = cotangent(size)
+			}
+		case s.hasParam:
+			b.dense = adopt(s.param.Value.Data)
+			if opt.Train {
+				b.grad = adopt(s.param.Grad.Data)
+			}
+			if narrow[E]() {
+				x.params = append(x.params, paramShadow[E]{ref: s.param, b: b})
+				if opt.Train {
+					x.zero = append(x.zero, b.grad)
+				}
+			}
+		case n.Kind == Virtual:
+			b.score = composeScore(g, bufs, n)
+			if opt.Train {
+				b.gvals = acquire(nnz)
 			}
 		case n.Kind == Sparse:
 			// Attention-fused sparse nodes materialize values only for
 			// training (the backward pass reads them); inference keeps the
 			// scores in per-row scratch inside the fused sweep.
 			if !fusedMask[n] && !(attnSrc[n] && !opt.Train) {
-				s.vals = floats(nnz)
-				s.view = pat.WithValues(s.vals)
+				b.vals = acquire(nnz)
 			}
 			if opt.Train {
-				s.gvals = floats(nnz)
+				b.gvals = acquire(nnz)
 			}
 		case n.Kind == Vector:
-			s.vec = floats(s.rows)
+			b.vec = acquire(s.rows)
 			if opt.Train {
-				s.gvec = floats(s.rows)
-				p.zeroVecs = append(p.zeroVecs, s.gvec)
+				b.gvec = cotangent(s.rows)
 			}
 		default: // dense compute node
-			s.dense = dense(s.rows, s.cols)
+			b.dense = acquire(size)
 			if opt.Train {
-				s.gdense = dense(s.rows, s.cols)
-				p.zeroDense = append(p.zeroDense, s.gdense)
+				b.gdense = cotangent(size)
 			}
+		}
+	}
+
+	// The boundary: f64 plans alias the caller's input and return views of
+	// their own buffers; f32 plans widen into f64 buffers, which count
+	// twice in the f32-element workspace total.
+	x.in, x.out = bufs[g.input], bufs[g.output]
+	if narrow[E]() {
+		wide := func(b *buf[E]) *tensor.Dense {
+			d := tensor.Acquire[float64](ws, b.rows*b.cols)
+			x.held64 = append(x.held64, d)
+			words += 2 * int64(len(d))
+			return &tensor.Dense{Rows: b.rows, Cols: b.cols, Data: d}
+		}
+		x.outD = wide(x.out)
+		if opt.Train {
+			x.ginD = wide(x.in)
+		}
+	} else {
+		view := func(b *buf[E], d []E) *tensor.Dense {
+			return &tensor.Dense{Rows: b.rows, Cols: b.cols, Data: any(d).([]float64)}
+		}
+		x.inRef = any(&x.in.dense).(*[]float64)
+		x.outD = view(x.out, x.out.dense)
+		if opt.Train {
+			x.ginD = view(x.in, x.in.gdense)
 		}
 	}
 
 	// Shared transpose machinery for the backward pass: Sᵀ·X products run
 	// over the transposed pattern, permuting the sparse node's current
 	// values into a shared scratch. The adjacency transpose carries A's own
-	// values, so adjacency SpMM backward needs no permutation.
+	// values (adopted like the forward adjacency values), so adjacency
+	// SpMM backward needs no permutation.
 	var patT *sparse.CSR
 	var cutsT *par.Cuts
 	var perm []int64
-	var tvals []float64
+	var tvals, adjT []E
 	if opt.Train {
 		patT = pat.Transpose()
 		cutsT = par.NewCuts(patT.Rows, nnzWeight(patT))
 		perm = pat.TransposePerm()
-		tvals = floats(nnz)
+		tvals = acquire(nnz)
+		for _, n := range nodes {
+			if n.Op == "spmm" && n.Inputs[0] == g.adj {
+				adjT = adopt(patT.Val)
+				break
+			}
+		}
 	}
 
 	rowOff := int32(g.rowOff)
@@ -279,16 +363,16 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 			lane:   lane,
 			fcode:  flight.Code(span),
 			flops:  flops,
-			bytes:  opBytes(g, n, op, nnz, backward, 8),
+			bytes:  opBytes(g, n, op, nnz, backward, opt.Train, dtype.Size()),
 			nnz:    swept,
 		})
 	}
-	bare := func(run func()) opFns { return opFns{run: run} }
 
 	// Forward op list, in topological order. Virtual nodes and fused masks
 	// emit nothing — they live inside their sampler's sweep.
-	for _, n := range g.dag.Nodes() {
-		s := g.sp(n)
+	for _, n := range nodes {
+		s, b := g.sp(n), bufs[n]
+		in := func(i int) *buf[E] { return bufs[n.Inputs[i]] }
 		switch n.Op {
 		case "input":
 			continue
@@ -296,53 +380,42 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 			if fusedMask[n] || attnSrc[n] {
 				continue
 			}
-			virt := g.sp(n.Inputs[1])
 			emit(&p.fwd, n, "", "mask",
-				opSample(pat, cuts, s.vals, virt.score, maskWeights(pat, s), rowOff, false))
+				opSample(pat, cuts, b.vals, in(1).score, weights(n), rowOff, false))
 		case "softmax":
 			if attnSrc[n] {
 				continue
 			}
-			in := n.Inputs[0]
-			if fusedMask[in] {
-				m := g.sp(in)
-				virt := g.sp(in.Inputs[1])
+			if m := n.Inputs[0]; fusedMask[m] {
 				emit(&p.fwd, n, "", "fused-softmax",
-					opSample(pat, cuts, s.vals, virt.score, maskWeights(pat, m), rowOff, true))
+					opSample(pat, cuts, b.vals, bufs[m.Inputs[1]].score, weights(m), rowOff, true))
 			} else {
-				emit(&p.fwd, n, "", "softmax", opRowSoftmax(pat, cuts, g.sp(in).vals, s.vals))
+				emit(&p.fwd, n, "", "softmax", opRowSoftmax(pat, cuts, in(0).vals, b.vals))
 			}
 		case "spmm":
 			if src, ok := attnAgg[n]; ok {
-				maskN := src
-				softmax := false
+				mask, softmax := src, false
 				if src.Op == "softmax" {
-					maskN = src.Inputs[0]
-					softmax = true
+					mask, softmax = src.Inputs[0], true
 				}
-				m := g.sp(maskN)
-				virt := g.sp(maskN.Inputs[1])
 				emit(&p.fwd, n, "", "fused-attn",
-					opAttnFused(pat, cuts, g.sp(src).vals, virt.score, maskWeights(pat, m),
-						rowOff, softmax, g.sp(n.Inputs[1]), s))
+					opAttnFused(pat, cuts, bufs[src].vals, bufs[mask.Inputs[1]].score, weights(mask),
+						rowOff, softmax, in(1), b))
 				continue
 			}
-			sv := g.sp(n.Inputs[0]).view
-			emit(&p.fwd, n, "", "spmm", opSpMM(sv, cuts, g.sp(n.Inputs[1]), s))
+			emit(&p.fwd, n, "", "spmm", opSpMM(pat, cuts, sparseVals(n.Inputs[0]), in(1), b))
 		case "spmm-max", "spmm-min", "spmm-mean":
-			sv := g.sp(n.Inputs[0]).view
-			emit(&p.fwd, n, "", n.Op, opSemiring(sv, g.sp(n.Inputs[1]), s, s.agg))
+			emit(&p.fwd, n, "", n.Op, opSemiring(pat, sparseVals(n.Inputs[0]), in(1), b, s.agg))
 		case "mm":
-			emit(&p.fwd, n, "", "mm", opMM(g.sp(n.Inputs[0]), g.sp(n.Inputs[1]), s))
+			emit(&p.fwd, n, "", "mm", opMM(in(0), in(1), b))
 		case "matvec":
-			emit(&p.fwd, n, "", "matvec", opMatVec(g.sp(n.Inputs[0]), g.sp(n.Inputs[1]), s))
+			emit(&p.fwd, n, "", "matvec", opMatVec(in(0), in(1), b))
 		case "rownorm":
-			emit(&p.fwd, n, "", "rownorm", opRowNorms(g.sp(n.Inputs[0]), s))
+			emit(&p.fwd, n, "", "rownorm", opRowNorms(in(0), b))
 		case "sigma":
-			emit(&p.fwd, n, "", "sigma", opSigma(g.sp(n.Inputs[0]), s, s.act.F))
+			emit(&p.fwd, n, "", "sigma", opSigma(in(0), b, s.act))
 		case "gin-combine":
-			emit(&p.fwd, n, "", "gin-combine",
-				opGINCombine(g.sp(n.Inputs[0]), g.sp(n.Inputs[1]), g.sp(n.Inputs[2]), s))
+			emit(&p.fwd, n, "", "gin-combine", opGINCombine(in(0), in(1), in(2), b))
 		default:
 			if n.Kind == Virtual {
 				continue
@@ -355,70 +428,54 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 	// vector cotangents accumulate (+=) into zeroed buffers; sparse and
 	// virtual cotangents are overwritten by their single consumer.
 	if opt.Train {
-		nodes := g.dag.Nodes()
 		for idx := len(nodes) - 1; idx >= 0; idx-- {
 			n := nodes[idx]
-			s := g.sp(n)
+			s, b := g.sp(n), bufs[n]
+			in := func(i int) *buf[E] { return bufs[n.Inputs[i]] }
+			var run func()
 			switch n.Op {
 			case "input":
 				continue
 			case "sigma":
-				emit(&p.bwd, n, ".bwd", "sigma",
-					bare(opSigmaVJP(g.sp(n.Inputs[0]), s, s.act.DF)))
+				run = opSigmaVJP(in(0), b, s.act)
 			case "mm":
-				emit(&p.bwd, n, ".bwd", "mm",
-					bare(opMMVJP(g.sp(n.Inputs[0]), g.sp(n.Inputs[1]), s, &partialsScratch{})))
+				run = opMMVJP(in(0), in(1), b, &partialsScratch[E]{})
 			case "matvec":
-				emit(&p.bwd, n, ".bwd", "matvec",
-					bare(opMatVecVJP(g.sp(n.Inputs[0]), g.sp(n.Inputs[1]), s)))
+				run = opMatVecVJP(in(0), in(1), b)
 			case "rownorm":
-				emit(&p.bwd, n, ".bwd", "rownorm", bare(opRowNormsVJP(g.sp(n.Inputs[0]), s)))
+				run = opRowNormsVJP(in(0), b)
 			case "gin-combine":
-				emit(&p.bwd, n, ".bwd", "gin-combine",
-					bare(opGINCombineVJP(g.sp(n.Inputs[0]), g.sp(n.Inputs[1]), g.sp(n.Inputs[2]), s, &redScratch{})))
+				run = opGINCombineVJP(in(0), in(1), in(2), b, &redScratch[E]{})
 			case "spmm":
-				sam := g.sp(n.Inputs[0])
-				x := g.sp(n.Inputs[1])
 				if n.Inputs[0] == g.adj {
-					emit(&p.bwd, n, ".bwd", "spmm",
-						bare(opSpMMVJP(pat, patT, cuts, cutsT, nil, nil, perm, tvals, x, s)))
+					run = opSpMMVJP(pat, patT, cuts, cutsT, nil, nil, perm, tvals, adjT, in(1), b)
 				} else {
-					emit(&p.bwd, n, ".bwd", "spmm",
-						bare(opSpMMVJP(pat, patT, cuts, cutsT, sam.vals, sam.gvals, perm, tvals, x, s)))
+					run = opSpMMVJP(pat, patT, cuts, cutsT, in(0).vals, in(0).gvals, perm, tvals, nil, in(1), b)
 				}
 			case "softmax":
-				in := g.sp(n.Inputs[0])
-				emit(&p.bwd, n, ".bwd", "softmax",
-					bare(opSoftmaxVJP(pat, cuts, s.vals, s.gvals, in.gvals)))
+				run = opSoftmaxVJP(pat, cuts, b.vals, b.gvals, in(0).gvals)
 			case "mask":
-				virt := g.sp(n.Inputs[1])
-				emit(&p.bwd, n, ".bwd", "mask", bare(opMaskVJP(s.gvals, virt.gvals, maskWeights(pat, s))))
+				run = opMaskVJP(b.gvals, in(1).gvals, weights(n))
 			case "mmt":
-				emit(&p.bwd, n, ".bwd", "mmt",
-					bare(opDotVJP(pat, patT, cuts, cutsT, s.gvals, perm, tvals, g.sp(n.Inputs[0]), g.sp(n.Inputs[1]))))
+				run = opDotVJP(pat, patT, cuts, cutsT, b.gvals, perm, tvals, in(0), in(1))
 			case "outer":
-				emit(&p.bwd, n, ".bwd", "outer",
-					bare(opOuterVJP(pat, patT, cuts, cutsT, s.gvals, perm, tvals, g.sp(n.Inputs[0]), g.sp(n.Inputs[1]))))
+				run = opOuterVJP(pat, patT, cuts, cutsT, b.gvals, perm, tvals, in(0), in(1))
 			case "divide":
-				emit(&p.bwd, n, ".bwd", "divide",
-					bare(opDivVJP(pat, cuts, s.gvals, g.sp(n.Inputs[0]), g.sp(n.Inputs[1]))))
+				run = opDivVJP(pat, cuts, b.gvals, in(0), in(1))
 			case "scale":
-				emit(&p.bwd, n, ".bwd", "scale",
-					bare(opScaleVJP(pat, cuts, s.gvals, g.sp(n.Inputs[0]), g.sp(n.Inputs[1]).param, &redScratch{})))
+				run = opScaleVJP(pat, cuts, b.gvals, in(0), in(1), &redScratch[E]{})
 			case "rep":
-				emit(&p.bwd, n, ".bwd", "rep", bare(opRepVJP(pat, cuts, s.gvals, g.sp(n.Inputs[0]))))
+				run = opRepVJP(pat, cuts, b.gvals, in(0))
 			case "repT":
-				emit(&p.bwd, n, ".bwd", "repT",
-					bare(opRepTVJP(patT, cutsT, s.gvals, perm, tvals, g.sp(n.Inputs[0]))))
+				run = opRepTVJP(patT, cutsT, b.gvals, perm, tvals, in(0))
 			case "add":
-				emit(&p.bwd, n, ".bwd", "add",
-					bare(opAddVJP(s.gvals, g.sp(n.Inputs[0]), g.sp(n.Inputs[1]))))
+				run = opAddVJP(b.gvals, in(0), in(1))
 			case "lrelu":
-				emit(&p.bwd, n, ".bwd", "lrelu",
-					bare(opLReLUVJP(pat, cuts, s.gvals, g.sp(n.Inputs[0]), s.slope)))
+				run = opLReLUVJP(pat, cuts, b.gvals, in(0), E(s.slope))
 			default:
 				return nil, fmt.Errorf("fuse: graph %q: no VJP for op %q (node %q)", g.Name, n.Op, n.ID)
 			}
+			emit(&p.bwd, n, ".bwd", n.Op, opFns{run: run})
 		}
 	}
 
@@ -429,6 +486,7 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 		AttnFused:      len(attnAgg),
 		OpCounts:       make(map[string]int),
 		WorkspaceWords: words,
+		DType:          dtype,
 	}
 	for _, grp := range groups {
 		p.stats.FusedVirtual += len(grp.Virtual)
@@ -454,13 +512,6 @@ func (g *Graph) MustCompile(opt Options) *Plan {
 		panic(err)
 	}
 	return p
-}
-
-func maskWeights(pat *sparse.CSR, mask *spec) []float64 {
-	if mask.weighted {
-		return pat.Val
-	}
-	return nil
 }
 
 // attnFusion finds the spmm nodes the attention-fusion rule applies to:
@@ -497,27 +548,66 @@ func attnFusion(g *Graph, cons map[*Node][]*Node, fusedMask map[*Node]bool, disa
 // composeScore builds the closure evaluating one entry of a virtual node by
 // composing its inputs' evaluators — the runtime realization of "evaluate
 // the virtual values on the fly inside the sampler's sweep".
-func composeScore(g *Graph, n *Node) ScoreFunc {
+func composeScore[E tensor.Float](g *Graph, bufs map[*Node]*buf[E], n *Node) func(i, j int32) E {
+	// Peepholes for the standard attention-score chains: the generic
+	// composition nests one closure per virtual node, and on the scalar
+	// per-edge sweeps that dynamic-call depth is pure overhead. Collapsing
+	// the GAT chain lrelu(u·1ᵀ + 1·vᵀ) and the AGNN chain β·(X·Yᵀ ⊘ a·bᵀ)
+	// into single closures performs the same float operations in the same
+	// order — only the call tree changes.
+	if n.Op == "lrelu" {
+		if a := n.Inputs[0]; a.Op == "add" && a.Inputs[0].Op == "rep" && a.Inputs[1].Op == "repT" {
+			us, vs := bufs[a.Inputs[0].Inputs[0]], bufs[a.Inputs[1].Inputs[0]]
+			slope := E(g.sp(n).slope)
+			return func(i, j int32) E {
+				s := us.vec[i] + vs.vec[j]
+				if s < 0 {
+					s *= slope
+				}
+				return s
+			}
+		}
+	}
+	if n.Op == "scale" {
+		if d := n.Inputs[0]; d.Op == "divide" && d.Inputs[0].Op == "mmt" && d.Inputs[1].Op == "outer" {
+			xs, ys := bufs[d.Inputs[0].Inputs[0]], bufs[d.Inputs[0].Inputs[1]]
+			as, bs := bufs[d.Inputs[1].Inputs[0]], bufs[d.Inputs[1].Inputs[1]]
+			beta := bufs[n.Inputs[1]]
+			k := xs.cols
+			return func(i, j int32) E {
+				den := as.vec[i] * bs.vec[j]
+				if den == 0 {
+					return 0
+				}
+				xrow := xs.dense[int(i)*k : int(i)*k+k]
+				yrow := ys.dense[int(j)*k : int(j)*k+k]
+				var acc E
+				for t, v := range xrow {
+					acc += v * yrow[t]
+				}
+				return beta.dense[0] * (acc / den)
+			}
+		}
+	}
 	switch n.Op {
 	case "mmt":
-		xs, ys := g.sp(n.Inputs[0]), g.sp(n.Inputs[1])
-		return func(i, j int32) float64 {
-			xd, yd := xs.dense, ys.dense
-			k := xd.Cols
-			xrow := xd.Data[int(i)*k : int(i)*k+k]
-			yrow := yd.Data[int(j)*k : int(j)*k+k]
-			acc := 0.0
+		xs, ys := bufs[n.Inputs[0]], bufs[n.Inputs[1]]
+		k := xs.cols
+		return func(i, j int32) E {
+			xrow := xs.dense[int(i)*k : int(i)*k+k]
+			yrow := ys.dense[int(j)*k : int(j)*k+k]
+			var acc E
 			for t, v := range xrow {
 				acc += v * yrow[t]
 			}
 			return acc
 		}
 	case "outer":
-		as, bs := g.sp(n.Inputs[0]), g.sp(n.Inputs[1])
-		return func(i, j int32) float64 { return as.vec[i] * bs.vec[j] }
+		as, bs := bufs[n.Inputs[0]], bufs[n.Inputs[1]]
+		return func(i, j int32) E { return as.vec[i] * bs.vec[j] }
 	case "divide":
-		num, den := g.sp(n.Inputs[0]), g.sp(n.Inputs[1])
-		return func(i, j int32) float64 {
+		num, den := bufs[n.Inputs[0]], bufs[n.Inputs[1]]
+		return func(i, j int32) E {
 			d := den.score(i, j)
 			if d == 0 {
 				return 0
@@ -525,22 +615,21 @@ func composeScore(g *Graph, n *Node) ScoreFunc {
 			return num.score(i, j) / d
 		}
 	case "scale":
-		xs := g.sp(n.Inputs[0])
-		beta := g.sp(n.Inputs[1]).param
-		return func(i, j int32) float64 { return beta.Value.Data[0] * xs.score(i, j) }
+		xs, beta := bufs[n.Inputs[0]], bufs[n.Inputs[1]]
+		return func(i, j int32) E { return beta.dense[0] * xs.score(i, j) }
 	case "rep":
-		us := g.sp(n.Inputs[0])
-		return func(i, _ int32) float64 { return us.vec[i] }
+		us := bufs[n.Inputs[0]]
+		return func(i, _ int32) E { return us.vec[i] }
 	case "repT":
-		vs := g.sp(n.Inputs[0])
-		return func(_, j int32) float64 { return vs.vec[j] }
+		vs := bufs[n.Inputs[0]]
+		return func(_, j int32) E { return vs.vec[j] }
 	case "add":
-		as, bs := g.sp(n.Inputs[0]), g.sp(n.Inputs[1])
-		return func(i, j int32) float64 { return as.score(i, j) + bs.score(i, j) }
+		as, bs := bufs[n.Inputs[0]], bufs[n.Inputs[1]]
+		return func(i, j int32) E { return as.score(i, j) + bs.score(i, j) }
 	case "lrelu":
-		xs := g.sp(n.Inputs[0])
-		slope := g.sp(n).slope
-		return func(i, j int32) float64 {
+		xs := bufs[n.Inputs[0]]
+		slope := E(g.sp(n).slope)
+		return func(i, j int32) E {
 			s := xs.score(i, j)
 			if s < 0 {
 				s *= slope
@@ -571,7 +660,7 @@ func (p *Plan) BindDense(id string, h *tensor.Dense) {
 		panic(fmt.Sprintf("fuse: plan %q aux %q shape %d×%d, got %d×%d",
 			p.Name, id, s.rows, s.cols, h.Rows, h.Cols))
 	}
-	s.dense = h
+	p.x.bindAux(id, h)
 }
 
 // Forward binds h as the input feature matrix and executes the op list.
@@ -585,13 +674,10 @@ func (p *Plan) Forward(h *tensor.Dense) *tensor.Dense {
 		panic(fmt.Sprintf("fuse: plan %q input shape %d×%d, got %d×%d",
 			p.Name, p.input.rows, p.input.cols, h.Rows, h.Cols))
 	}
-	if p.f32 != nil {
-		return p.forward32(h)
-	}
-	p.input.dense = h
+	p.x.bind(h)
 	runOps(p.fwd)
 	p.ranForward = true
-	return p.output.dense
+	return p.x.result()
 }
 
 // runOps executes an op list, recording each op's wall time into its
@@ -680,23 +766,9 @@ func (p *Plan) Backward(g *tensor.Dense) *tensor.Dense {
 		panic(fmt.Sprintf("fuse: plan %q output shape %d×%d, got cotangent %d×%d",
 			p.Name, p.output.rows, p.output.cols, g.Rows, g.Cols))
 	}
-	if p.f32 != nil {
-		return p.backward32(g)
-	}
-	for _, m := range p.zeroDense {
-		d := m.Data
-		for i := range d {
-			d[i] = 0
-		}
-	}
-	for _, v := range p.zeroVecs {
-		for i := range v {
-			v[i] = 0
-		}
-	}
-	copy(p.output.gdense.Data, g.Data)
+	p.x.seed(g)
 	runOps(p.bwd)
-	return p.input.gdense
+	return p.x.inputGrad()
 }
 
 // Release returns every buffer the plan holds to its workspace arena. The
@@ -707,22 +779,7 @@ func (p *Plan) Release() {
 		return
 	}
 	p.released = true
-	for _, m := range p.denseBufs {
-		p.ws.ReleaseDense(m)
-	}
-	for _, s := range p.floatBufs {
-		p.ws.ReleaseFloats(s)
-	}
-	p.denseBufs, p.floatBufs = nil, nil
-	if f := p.f32; f != nil {
-		for _, m := range f.denseBufs {
-			p.ws.ReleaseDense32(m)
-		}
-		for _, s := range f.floatBufs {
-			p.ws.ReleaseFloats32(s)
-		}
-		f.denseBufs, f.floatBufs = nil, nil
-	}
+	p.x.release(p.ws)
 }
 
 // String renders a compact plan summary.

@@ -19,9 +19,10 @@ const indexBytes = 4
 // feature row per non-zero) for sparse sweeps, operand reads + result
 // writes for dense kernels. fb is the float element width of the plan's
 // dtype (8 for f64, 4 for f32) — the lever that halves every value-traffic
-// term on the f32 path. Backward variants approximately double the forward
-// traffic, mirroring opCost.
-func opBytes(g *Graph, n *Node, op string, nnz int, backward bool, fb int64) int64 {
+// term on the f32 path. train is the plan's mode: training plans write the
+// fused-attention scores for the backward pass. Backward variants
+// approximately double the forward traffic, mirroring opCost.
+func opBytes(g *Graph, n *Node, op string, nnz int, backward, train bool, fb int64) int64 {
 	s := g.sp(n)
 	r, c := int64(s.rows), int64(s.cols)
 	nz := int64(nnz)
@@ -55,7 +56,7 @@ func opBytes(g *Graph, n *Node, op string, nnz int, backward bool, fb int64) int
 		if n.Inputs[0].Op == "softmax" {
 			b += 2 * fb * nz
 		}
-		if g.sp(n.Inputs[0]).vals != nil {
+		if train {
 			b += fb * nz
 		}
 	case "matvec":

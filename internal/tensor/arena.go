@@ -7,27 +7,23 @@ import (
 	"agnn/internal/obs/metrics"
 )
 
-// Arena is a shape-keyed buffer pool: the workspace substrate of the
+// Arena is a length-keyed buffer pool: the workspace substrate of the
 // compiled execution plans (internal/fuse). A plan acquires every
 // intermediate it needs once, at compile time, and reuses the buffers on
 // every subsequent step, so steady-state training does no per-step
 // allocations on the hot path. Buffers released back to the arena are
-// recycled for later acquisitions of the same shape, which lets
-// non-overlapping intermediates share storage. Float32 buffers (f32
-// compiled plans) live in their own pools and are tracked at their true
-// 4-byte element width.
+// recycled for later acquisitions of the same element type and length,
+// which lets non-overlapping intermediates share storage. Each element
+// type has its own pool and is tracked at its true width (4 or 8 bytes).
 //
 // An Arena is not safe for concurrent use; plans acquire at compile time
 // and execute single-threaded op lists (the kernels themselves parallelize
 // internally).
 type Arena struct {
-	freeDense    map[[2]int][]*Dense
-	freeFloats   map[int][][]float64
-	freeDense32  map[[2]int][]*Dense32
-	freeFloats32 map[int][][]float32
+	free64 map[int][][]float64
+	free32 map[int][][]float32
 
-	denseOut  int // buffers handed out and not released (all pools)
-	floatsOut int
+	out       int   // buffers handed out and not released
 	bytes     int64 // total bytes ever allocated by this arena
 	liveBytes int64 // bytes currently held by acquirers
 }
@@ -46,113 +42,45 @@ func (a *Arena) trackLive(deltaBytes int64) {
 // NewArena returns an empty arena.
 func NewArena() *Arena {
 	return &Arena{
-		freeDense:    make(map[[2]int][]*Dense),
-		freeFloats:   make(map[int][][]float64),
-		freeDense32:  make(map[[2]int][]*Dense32),
-		freeFloats32: make(map[int][][]float32),
+		free64: make(map[int][][]float64),
+		free32: make(map[int][][]float32),
 	}
 }
 
-// AcquireDense returns a zeroed r×c matrix, recycling a released buffer of
-// the same shape when one is available.
-func (a *Arena) AcquireDense(r, c int) *Dense {
-	a.denseOut++
-	a.trackLive(8 * int64(r) * int64(c))
-	key := [2]int{r, c}
-	if l := a.freeDense[key]; len(l) > 0 {
-		m := l[len(l)-1]
-		a.freeDense[key] = l[:len(l)-1]
-		return m.Zero()
+// freeList returns the arena's pool for element type E.
+func freeList[E Float](a *Arena) map[int][][]E {
+	if l, ok := any(a.free64).(map[int][][]E); ok {
+		return l
 	}
-	a.bytes += 8 * int64(r) * int64(c)
-	return NewDense(r, c)
+	return any(a.free32).(map[int][][]E)
 }
 
-// ReleaseDense returns m to the shape-keyed free list for reuse.
-func (a *Arena) ReleaseDense(m *Dense) {
-	if m == nil {
-		return
-	}
-	a.denseOut--
-	a.trackLive(-8 * int64(m.Rows) * int64(m.Cols))
-	key := [2]int{m.Rows, m.Cols}
-	a.freeDense[key] = append(a.freeDense[key], m)
-}
-
-// AcquireFloats returns a zeroed length-n slice, recycling when possible.
-func (a *Arena) AcquireFloats(n int) []float64 {
-	a.floatsOut++
-	a.trackLive(8 * int64(n))
-	if l := a.freeFloats[n]; len(l) > 0 {
+// Acquire returns a zeroed length-n buffer from a, recycling a released
+// buffer of the same element type and length when one is available.
+func Acquire[E Float](a *Arena, n int) []E {
+	size := DTypeOf[E]().Size() * int64(n)
+	a.out++
+	a.trackLive(size)
+	free := freeList[E](a)
+	if l := free[n]; len(l) > 0 {
 		s := l[len(l)-1]
-		a.freeFloats[n] = l[:len(l)-1]
+		free[n] = l[:len(l)-1]
 		clear(s)
 		return s
 	}
-	a.bytes += 8 * int64(n)
-	return make([]float64, n)
+	a.bytes += size
+	return make([]E, n)
 }
 
-// ReleaseFloats returns s to the free list for reuse.
-func (a *Arena) ReleaseFloats(s []float64) {
+// Release returns s to a's free list for reuse.
+func Release[E Float](a *Arena, s []E) {
 	if s == nil {
 		return
 	}
-	a.floatsOut--
-	a.trackLive(-8 * int64(len(s)))
-	a.freeFloats[len(s)] = append(a.freeFloats[len(s)], s)
-}
-
-// AcquireDense32 returns a zeroed r×c float32 matrix, recycling when
-// possible. f32 workspace is tracked at 4 bytes per element, so the arena
-// gauges and PeakArenaBytes reflect the halved footprint of f32 plans.
-func (a *Arena) AcquireDense32(r, c int) *Dense32 {
-	a.denseOut++
-	a.trackLive(4 * int64(r) * int64(c))
-	key := [2]int{r, c}
-	if l := a.freeDense32[key]; len(l) > 0 {
-		m := l[len(l)-1]
-		a.freeDense32[key] = l[:len(l)-1]
-		return m.Zero()
-	}
-	a.bytes += 4 * int64(r) * int64(c)
-	return NewDense32(r, c)
-}
-
-// ReleaseDense32 returns m to the shape-keyed free list for reuse.
-func (a *Arena) ReleaseDense32(m *Dense32) {
-	if m == nil {
-		return
-	}
-	a.denseOut--
-	a.trackLive(-4 * int64(m.Rows) * int64(m.Cols))
-	key := [2]int{m.Rows, m.Cols}
-	a.freeDense32[key] = append(a.freeDense32[key], m)
-}
-
-// AcquireFloats32 returns a zeroed length-n float32 slice, recycling when
-// possible.
-func (a *Arena) AcquireFloats32(n int) []float32 {
-	a.floatsOut++
-	a.trackLive(4 * int64(n))
-	if l := a.freeFloats32[n]; len(l) > 0 {
-		s := l[len(l)-1]
-		a.freeFloats32[n] = l[:len(l)-1]
-		clear(s)
-		return s
-	}
-	a.bytes += 4 * int64(n)
-	return make([]float32, n)
-}
-
-// ReleaseFloats32 returns s to the free list for reuse.
-func (a *Arena) ReleaseFloats32(s []float32) {
-	if s == nil {
-		return
-	}
-	a.floatsOut--
-	a.trackLive(-4 * int64(len(s)))
-	a.freeFloats32[len(s)] = append(a.freeFloats32[len(s)], s)
+	a.out--
+	a.trackLive(-DTypeOf[E]().Size() * int64(len(s)))
+	free := freeList[E](a)
+	free[len(s)] = append(free[len(s)], s)
 }
 
 // Bytes returns the total workspace footprint allocated through the arena.
@@ -162,7 +90,7 @@ func (a *Arena) Bytes() int64 { return a.bytes }
 func (a *Arena) LiveBytes() int64 { return a.liveBytes }
 
 // Live returns the number of buffers currently held by acquirers.
-func (a *Arena) Live() int { return a.denseOut + a.floatsOut }
+func (a *Arena) Live() int { return a.out }
 
 // String summarizes the arena for workspace reports.
 func (a *Arena) String() string {

@@ -1,11 +1,14 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // DType selects the element width of a compiled numeric path. The public
-// tensor API stays float64 (Dense); F32 switches the compiled-plan
-// internals (internal/fuse) to float32 buffers and kernels, halving memory
-// traffic on every bandwidth-bound op. The zero value is F64, so every
+// tensor API stays float64 (Dense); F32 instantiates the compiled-plan
+// internals (internal/fuse) over float32 buffers, halving memory traffic
+// on every bandwidth-bound op. The zero value is F64, so every
 // existing call site keeps its bitwise-identical float64 behavior.
 type DType uint8
 
@@ -42,4 +45,36 @@ func ParseDType(s string) (DType, error) {
 		return F32, nil
 	}
 	return F64, fmt.Errorf("tensor: unknown dtype %q (want f32 or f64)", s)
+}
+
+// Float is the element type of a compiled plan's buffers: the Go type
+// behind a DType.
+type Float interface{ float32 | float64 }
+
+// DTypeOf returns the DType whose elements are E.
+func DTypeOf[E Float]() DType {
+	if unsafe.Sizeof(E(0)) == 4 {
+		return F32
+	}
+	return F64
+}
+
+// Floats32To64 widens src into dst (equal lengths).
+func Floats32To64(dst []float64, src []float32) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: Floats32To64 length mismatch %d vs %d", len(dst), len(src)))
+	}
+	for i, v := range src {
+		dst[i] = float64(v)
+	}
+}
+
+// Floats64To32 rounds src into dst (equal lengths).
+func Floats64To32(dst []float32, src []float64) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: Floats64To32 length mismatch %d vs %d", len(dst), len(src)))
+	}
+	for i, v := range src {
+		dst[i] = float32(v)
+	}
 }

@@ -98,47 +98,38 @@ func TestMMIntoTiledBitwiseIdentical(t *testing.T) {
 	}
 }
 
-func TestDense32RoundTrip(t *testing.T) {
+func TestFloatsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	src := RandN(7, 5, 1, rng)
-	m := NewDense32(7, 5)
-	m.CopyFromDense(src)
-	back := NewDense(7, 5)
-	m.CopyToDense(back)
-	for i, v := range src.Data {
-		if back.Data[i] != float64(float32(v)) {
-			t.Fatalf("elem %d: %v round-tripped to %v", i, v, back.Data[i])
-		}
-	}
-
-	// The slice helpers are the same cast on raw slices.
 	xs32 := make([]float32, len(src.Data))
 	Floats64To32(xs32, src.Data)
 	xs64 := make([]float64, len(src.Data))
 	Floats32To64(xs64, xs32)
 	for i := range xs64 {
 		if xs64[i] != float64(float32(src.Data[i])) {
-			t.Fatalf("slice elem %d: %v -> %v", i, src.Data[i], xs64[i])
+			t.Fatalf("elem %d: %v round-tripped to %v", i, src.Data[i], xs64[i])
 		}
 	}
 }
 
-func TestDense32ShapeMismatchPanics(t *testing.T) {
-	m := NewDense32(2, 3)
-	d := NewDense(3, 2)
+func TestFloatsLengthMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"CopyFromDense": func() { m.CopyFromDense(d) },
-		"CopyToDense":   func() { m.CopyToDense(d) },
-		"Floats64To32":  func() { Floats64To32(make([]float32, 2), make([]float64, 3)) },
-		"Floats32To64":  func() { Floats32To64(make([]float64, 2), make([]float32, 3)) },
+		"Floats64To32": func() { Floats64To32(make([]float32, 2), make([]float64, 3)) },
+		"Floats32To64": func() { Floats32To64(make([]float64, 2), make([]float32, 3)) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: shape mismatch must panic", name)
+					t.Errorf("%s: length mismatch must panic", name)
 				}
 			}()
 			f()
 		}()
+	}
+}
+
+func TestDTypeOf(t *testing.T) {
+	if DTypeOf[float64]() != F64 || DTypeOf[float32]() != F32 {
+		t.Fatalf("DTypeOf: float64=%v float32=%v", DTypeOf[float64](), DTypeOf[float32]())
 	}
 }
